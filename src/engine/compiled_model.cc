@@ -147,6 +147,13 @@ Status CompiledModel::ValidateRequest(const Tensor& features,
         std::to_string(op->matrix().cols()) + " columns, features " +
         std::to_string(features.rows()) + " rows");
   }
+  // Node classification maps each node to itself: a non-square operator
+  // would size the activations by one dimension and index by the other.
+  if (op->matrix().rows() != op->matrix().cols()) {
+    return Status::InvalidArgument(
+        "operator must be square, got " + std::to_string(op->matrix().rows()) +
+        "x" + std::to_string(op->matrix().cols()));
+  }
   return Status::OK();
 }
 
@@ -166,8 +173,8 @@ Result<Tensor> CompiledModel::Predict(const Tensor& features,
   // Lock-free hot path: the plan is immutable, the scratch is caller-owned.
   return RunContained("fp32 forward", [&]() -> Result<Tensor> {
     Tensor logits = Tensor::Zeros(Shape(features.rows(), info_.out_dim));
-    plan_->Execute(features.data().data(), features.rows(), *op, &scratch->plan,
-                   logits.data().data());
+    plan_->Execute(features.data().data(), RowUniverse(op->matrix()),
+                   &scratch->plan, logits.data().data());
     return logits;
   });
 }
@@ -195,14 +202,13 @@ Result<Tensor> CompiledModel::PredictQuantized(const Tensor& features,
         "accept it); int8 serving is disabled — use Predict");
   }
   // Proven, per-step graph pairing: the certificate's symbolic SpMM depth
-  // budget (refined by this operator's actual value range) replaces the
-  // coarse global Int8DepthSafeOperator cut.
+  // budget, refined by this operator's actual value range.
   Status paired =
       CheckGraphAgainstCertificate(*range_cert_, ComputeGraphRangeBounds(*op));
   if (!paired.ok()) return paired;
   return RunContained("int8 forward", [&]() -> Result<Tensor> {
     Tensor logits = Tensor::Zeros(Shape(features.rows(), info_.out_dim));
-    plan_->ExecuteInt8(features.data().data(), features.rows(), *op,
+    plan_->ExecuteInt8(features.data().data(), RowUniverse(op->matrix()),
                        &scratch->plan, logits.data().data());
     return logits;
   });
@@ -212,6 +218,7 @@ std::unique_ptr<FrontierProgram> CompiledModel::BuildFrontierProgram(
     const SparseOperatorPtr& op, std::vector<int64_t> targets, bool int8,
     FrontierWorkspace* ws, double max_cost_fraction) const {
   if (op == nullptr || plan_ == nullptr) return nullptr;
+  if (op->rows() != op->cols()) return nullptr;
   if (int8 && !plan_->SupportsInt8()) return nullptr;
   return FrontierProgram::Build(*plan_, int8, *op, std::move(targets), ws,
                                 max_cost_fraction);
@@ -247,11 +254,11 @@ Result<Tensor> CompiledModel::PredictPruned(const Tensor& features,
     Tensor logits = Tensor::Zeros(
         Shape(static_cast<int64_t>(program.targets().size()), info_.out_dim));
     if (program.int8()) {
-      plan_->ExecutePrunedInt8(features.data().data(), program, &scratch->plan,
-                               logits.data().data());
+      plan_->ExecuteInt8(features.data().data(), RowUniverse(program),
+                         &scratch->plan, logits.data().data());
     } else {
-      plan_->ExecutePruned(features.data().data(), program, &scratch->plan,
-                           logits.data().data());
+      plan_->Execute(features.data().data(), RowUniverse(program),
+                     &scratch->plan, logits.data().data());
     }
     return logits;
   });

@@ -2,9 +2,7 @@
 #include "engine/execution_plan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
@@ -31,9 +29,6 @@ namespace {
 // to int8 in a second sweep: a direct scalar-narrowing store defeats the
 // vectorizer and costs ~8x on these passes.
 constexpr int64_t kNarrowBlock = 256;
-
-// -1 = unresolved; 0/1 once MIXQ_FUSED or SetFusedEpilogues picked a side.
-std::atomic<int> g_fused_epilogues{-1};
 
 // Chaos hooks shared by every executor entry point: a slow kernel (exercises
 // the batcher watchdog), a throwing kernel (exercises containment), and a
@@ -95,21 +90,16 @@ void QuantizeCodes8(const float* x, int8_t* out, int64_t n, const QuantParams& p
       /*grain=*/4096);
 }
 
-// ---- kernels shared by the full and pruned executors ----------------------
-// Each helper below is the SINGLE implementation of its per-element loop:
-// the pruned executors' bitwise-parity contracts (fp32 identical to
-// Execute, int8 codes identical to ExecuteInt8) depend on both row
-// universes flowing through exactly the same code.
+// ---- step kernels -----------------------------------------------------------
 
 /// Strips zero-weight GEMM padding columns in place. Serial on purpose: row
 /// i's destination overlaps the unread source of much-earlier rows (i*out
 /// falls inside j*out_padded spans), so only the ascending order is safe —
 /// and n tiny memmoves are cheap.
-template <typename T>
-void StripPaddedColumns(T* data, int64_t n, int64_t out, int64_t out_padded) {
+void StripPaddedColumns(float* data, int64_t n, int64_t out, int64_t out_padded) {
   for (int64_t i = 1; i < n; ++i) {
     std::memmove(data + i * out, data + i * out_padded,
-                 sizeof(T) * static_cast<size_t>(out));
+                 sizeof(float) * static_cast<size_t>(out));
   }
 }
 
@@ -125,70 +115,9 @@ void AddBiasRows(float* dst, const float* bias, int64_t n, int64_t w) {
       /*grain=*/256);
 }
 
-/// Requantizes a GEMM accumulator into int8 codes, one multiply per
-/// element: (Sx·Sw/Sy)·acc (+ bias/Sy). `bias` is the step's precomputed
-/// bias/Sy vector (nullptr = no bias) and `em` the step's precomputed
-/// emitter — both frozen at lowering (FinalizeDerived) so the hot path
-/// allocates and constructs nothing.
-void GemmRequantRows(const int32_t* acc, int8_t* dst, int64_t n, int64_t w,
-                     double total, const double* bias, const CodeEmitter& em) {
-  ParallelFor(
-      n,
-      [=](int64_t r0, int64_t r1) {
-        const int32_t* __restrict ap = acc;
-        int8_t* __restrict dp = dst;
-        const double* __restrict bp = bias;
-        const CodeEmitter e = em;
-        int32_t tmp[kNarrowBlock];
-        for (int64_t i = r0; i < r1; ++i) {
-          for (int64_t b0 = 0; b0 < w; b0 += kNarrowBlock) {
-            const int64_t bn = std::min<int64_t>(kNarrowBlock, w - b0);
-            const int64_t base = i * w + b0;
-            if (bp != nullptr) {
-              for (int64_t j = 0; j < bn; ++j) {
-                tmp[j] = e.Code(total * static_cast<double>(ap[base + j]) +
-                                bp[b0 + j]);
-              }
-            } else {
-              for (int64_t j = 0; j < bn; ++j) {
-                tmp[j] = e.Code(total * static_cast<double>(ap[base + j]));
-              }
-            }
-            for (int64_t j = 0; j < bn; ++j) {
-              dp[base + j] = static_cast<int8_t>(tmp[j]);
-            }
-          }
-        }
-      },
-      /*grain=*/64);
-}
-
-/// Requantizes a flat accumulator (SpMM output): codes = Requant(total·acc).
-void RequantFlat(const int32_t* acc, int8_t* dst, int64_t count, double total,
-                 const CodeEmitter& em) {
-  ParallelFor(
-      count,
-      [=](int64_t i0, int64_t i1) {
-        const int32_t* __restrict ap = acc;
-        int8_t* __restrict dp = dst;
-        const CodeEmitter e = em;
-        int32_t tmp[kNarrowBlock];
-        for (int64_t b0 = i0; b0 < i1; b0 += kNarrowBlock) {
-          const int64_t bn = std::min<int64_t>(kNarrowBlock, i1 - b0);
-          for (int64_t j = 0; j < bn; ++j) {
-            tmp[j] = e.Code(total * static_cast<double>(ap[b0 + j]));
-          }
-          for (int64_t j = 0; j < bn; ++j) {
-            dp[b0 + j] = static_cast<int8_t>(tmp[j]);
-          }
-        }
-      },
-      /*grain=*/4096);
-}
-
 /// codes(dst) = Requant(s1·a + s2·c) — the integer residual add.
-void AddRequantFlat(const int8_t* a, const int8_t* c, int8_t* dst, int64_t count,
-                    double s1, double s2, const CodeEmitter& em) {
+void AddRequantCodes(const int8_t* a, const int8_t* c, int8_t* dst, int64_t count,
+                     double s1, double s2, const CodeEmitter& em) {
   ParallelFor(
       count,
       [=](int64_t i0, int64_t i1) {
@@ -293,30 +222,6 @@ RequantEpilogue SpmmEpilogue(const ExecutionPlan::IntStep& st) {
 }
 
 }  // namespace
-
-bool ExecutionPlan::Int8DepthSafeOperator(const SparseOperator& op) {
-  const std::vector<int64_t>& row_ptr = op.matrix().row_ptr();
-  int64_t max_nnz = 0;
-  for (size_t r = 1; r < row_ptr.size(); ++r) {
-    max_nnz = std::max(max_nnz, row_ptr[r] - row_ptr[r - 1]);
-  }
-  return Int8DepthOk(max_nnz);
-}
-
-bool ExecutionPlan::FusedEpilogues() {
-  int v = g_fused_epilogues.load(std::memory_order_relaxed);
-  if (v >= 0) return v != 0;
-  bool fused = true;
-  if (const char* env = std::getenv("MIXQ_FUSED")) {
-    if (std::strcmp(env, "0") == 0) fused = false;
-  }
-  g_fused_epilogues.store(fused ? 1 : 0, std::memory_order_relaxed);
-  return fused;
-}
-
-void ExecutionPlan::SetFusedEpilogues(bool fused) {
-  g_fused_epilogues.store(fused ? 1 : 0, std::memory_order_relaxed);
-}
 
 void ExecutionPlan::FinalizeDerived() {
   for (LoweredLinear& lin : linears_) {
@@ -732,116 +637,29 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Lower(const SageNet& net,
 }
 
 // ---------------------------------------------------------------------------
-// Exact float executor
+// Executors: one step loop per precision over a RowUniverse
 // ---------------------------------------------------------------------------
 
-void ExecutionPlan::Execute(const float* x, int64_t n, const SparseOperator& op,
-                            Scratch* scratch, float* out) const {
-  ForwardFaultHooks();
-  scratch->f.resize(static_cast<size_t>(num_buffers_));
-  auto ensure = [&](int id, int64_t cols) -> float* {
-    std::vector<float>& buf = scratch->f[static_cast<size_t>(id)];
-    const size_t need = static_cast<size_t>(n * cols);
-    if (buf.size() < need) buf.resize(need);
-    return buf.data();
-  };
-  auto read = [&](int id) -> const float* {
-    return id == kInput ? x : scratch->f[static_cast<size_t>(id)].data();
-  };
-  // Which adjacency quantization scratch->adj_f currently holds (this call
-  // only; the operator is fixed for the duration of one Execute).
-  const LoweredComponent* adj_cached = nullptr;
+// Each step runs with n = its universe's row count. A row-parallel step
+// reads its source as stored, or through a row gather when the source holds
+// a wider frontier than the step consumes (GraphSAGE's root path, the
+// feature matrix itself). An SpMM step reads the universe's CSR: the
+// request's own matrix for the full forward, a pruned step's induced slice
+// whose columns are remapped into the source frontier. Every kernel computes
+// each output row from its own input row(s) in the same accumulation order
+// at any n, so both universes yield the same bits per row.
 
-  for (const Step& st : steps_) {
-    switch (st.op) {
-      case Op::kQuantize: {
-        // ensure() before read(): in-place steps must not capture a pointer
-        // a resize could invalidate.
-        float* dst = ensure(st.dst, st.cols);
-        const float* src = read(st.src);
-        FakeQuantBuffer(src, dst, n * st.cols, st.quant.params);
-        break;
-      }
-      case Op::kMatMul: {
-        const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        const float* src = read(st.src);
-        float* dst = ensure(st.dst, lin.out_padded);
-        GemmNN(src, lin.weight_fq.data(), dst, n, lin.in, lin.out_padded);
-        if (lin.out_padded != lin.out) {
-          StripPaddedColumns(dst, n, lin.out, lin.out_padded);
-        }
-        if (!lin.bias.empty()) {
-          AddBiasRows(dst, lin.bias.data(), n, lin.out);
-        }
-        break;
-      }
-      case Op::kSpmm: {
-        const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        float* dst = ensure(st.dst, st.cols);
-        const float* src = read(st.src);
-        if (aq.identity) {
-          SpmmRaw(op.matrix(), src, st.cols, dst);
-        } else {
-          // Consecutive layers usually freeze identical adjacency params
-          // (same values, same observer); reuse this request's quantized
-          // copy instead of re-running the O(nnz) pass per layer.
-          if (adj_cached == nullptr || !SameParams(adj_cached->params, aq.params)) {
-            const std::vector<float>& values = op.matrix().values();
-            if (scratch->adj_f.size() < values.size()) {
-              scratch->adj_f.resize(values.size());
-            }
-            FakeQuantBuffer(values.data(), scratch->adj_f.data(),
-                            static_cast<int64_t>(values.size()), aq.params);
-            adj_cached = &aq;
-          }
-          SpmmPattern(op.matrix(), scratch->adj_f.data(), src, st.cols, dst);
-        }
-        break;
-      }
-      case Op::kAdd: {
-        float* dst = ensure(st.dst, st.cols);
-        const float* a = read(st.src);
-        const float* c = read(st.src2);
-        ParallelFor(
-            n * st.cols,
-            [=](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) dst[i] = a[i] + c[i];
-            },
-            /*grain=*/4096);
-        break;
-      }
-      case Op::kRelu: {
-        float* dst = ensure(st.dst, st.cols);
-        const float* src = read(st.src);
-        ParallelFor(
-            n * st.cols,
-            [=](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) {
-                dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
-              }
-            },
-            /*grain=*/4096);
-        break;
-      }
-    }
-  }
-  std::memcpy(out, read(final_buffer_),
-              sizeof(float) * static_cast<size_t>(n * out_dim_));
+RowUniverse::StepRows RowUniverse::At(size_t step) const {
+  if (program_ == nullptr) return {full_->rows(), nullptr, full_};
+  const FrontierProgram::StepExec& se = program_->step_execs()[step];
+  return {static_cast<int64_t>(se.rows.size()),
+          se.gather.empty() ? nullptr : &se.gather, &se.induced};
 }
 
-// ---------------------------------------------------------------------------
-// Pruned float executor
-// ---------------------------------------------------------------------------
-
-// The pruned executors mirror Execute/ExecuteInt8 step for step; only the
-// row universe changes. Each step runs with n = its frontier size, inputs
-// come either contiguously from the src buffer (when its frontier already
-// equals this step's rows) or through a row gather, and SpMM steps run on
-// the program's pre-sliced induced CSR whose columns are remapped into the
-// src frontier. Every kernel involved computes each output row from its own
-// input row(s) with the same per-element accumulation order as the full
-// forward, which is what makes pruned fp32 rows bitwise identical to
-// Execute()'s and pruned int8 codes bitwise identical to ExecuteInt8()'s.
+int64_t RowUniverse::out_rows() const {
+  return program_ == nullptr ? full_->rows()
+                             : static_cast<int64_t>(program_->targets().size());
+}
 
 namespace {
 
@@ -862,49 +680,64 @@ const T* GatherRows(const T* base, const std::vector<int64_t>& rows,
   return dst;
 }
 
+/// A pruned program must schedule the step list this executor walks.
+void CheckProgram(const RowUniverse& rows, bool int8, size_t num_steps) {
+  const FrontierProgram* fp = rows.program();
+  if (fp == nullptr) return;
+  MIXQ_CHECK(fp->int8() == int8) << "program was built for the other step list";
+  MIXQ_CHECK_EQ(static_cast<int64_t>(fp->step_execs().size()),
+                static_cast<int64_t>(num_steps));
+}
+
+/// Grows scratch buffer `id` to hold rows x cols and returns it. Every step
+/// calls this on its destination BEFORE taking a source pointer: a resize
+/// would invalidate a pointer into the same buffer.
+template <typename T>
+T* EnsureBuffer(std::vector<std::vector<T>>* bufs, int id, int64_t rows,
+                int64_t cols) {
+  std::vector<T>& buf = (*bufs)[static_cast<size_t>(id)];
+  const size_t need = static_cast<size_t>(rows * cols);
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
+}
+
 }  // namespace
 
-void ExecutionPlan::ExecutePruned(const float* x, const FrontierProgram& fp,
-                                  Scratch* scratch, float* out) const {
-  MIXQ_CHECK(!fp.int8_) << "program was built for the int8 step list";
-  MIXQ_CHECK_EQ(static_cast<int64_t>(fp.steps_.size()),
-                static_cast<int64_t>(steps_.size()));
+void ExecutionPlan::Execute(const float* x, const RowUniverse& rows,
+                            Scratch* scratch, float* out) const {
+  CheckProgram(rows, /*int8=*/false, steps_.size());
   ForwardFaultHooks();
   scratch->f.resize(static_cast<size_t>(num_buffers_));
-  auto ensure = [&](int id, int64_t rows, int64_t cols) -> float* {
-    std::vector<float>& buf = scratch->f[static_cast<size_t>(id)];
-    const size_t need = static_cast<size_t>(rows * cols);
-    if (buf.size() < need) buf.resize(need);
-    return buf.data();
+  auto base = [&](int id) -> const float* {
+    return id == kInput ? x : scratch->f[static_cast<size_t>(id)].data();
   };
-  // Resolves a row-parallel step's input: the feature matrix or a scratch
-  // buffer, staged through the gather list when the source holds a wider
-  // frontier than this step consumes. ensure() the destination FIRST — the
-  // staging copy also protects in-place steps from resize invalidation.
-  auto read = [&](const FrontierProgram::StepExec& se, int src,
+  auto read = [&](const RowUniverse::StepRows& r, int id,
                   int64_t width) -> const float* {
-    const float* base =
-        se.src_is_input ? x : scratch->f[static_cast<size_t>(src)].data();
-    if (se.gather.empty()) return base;
-    return GatherRows(base, se.gather, width, &scratch->gather_f);
+    if (r.gather == nullptr) return base(id);
+    return GatherRows(base(id), *r.gather, width, &scratch->gather_f);
   };
+  // Which (CSR, params) quantization scratch->adj_f holds: the full
+  // forward's layers share one CSR and usually identical adjacency params,
+  // so they skip the O(nnz) pass; each pruned slice re-quantizes.
+  const CsrMatrix* adj_csr = nullptr;
+  const LoweredComponent* adj_cached = nullptr;
 
   for (size_t si = 0; si < steps_.size(); ++si) {
     const Step& st = steps_[si];
-    const FrontierProgram::StepExec& se = fp.steps_[si];
-    const int64_t n = static_cast<int64_t>(se.rows.size());
-    if (n == 0) continue;  // dead for these targets
+    const RowUniverse::StepRows r = rows.At(si);
+    const int64_t n = r.n;
+    if (n == 0) continue;
     switch (st.op) {
       case Op::kQuantize: {
-        float* dst = ensure(st.dst, n, st.cols);
-        const float* src = read(se, st.src, st.cols);
+        float* dst = EnsureBuffer(&scratch->f, st.dst, n, st.cols);
+        const float* src = read(r, st.src, st.cols);
         FakeQuantBuffer(src, dst, n * st.cols, st.quant.params);
         break;
       }
       case Op::kMatMul: {
         const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        float* dst = ensure(st.dst, n, lin.out_padded);
-        const float* src = read(se, st.src, lin.in);
+        float* dst = EnsureBuffer(&scratch->f, st.dst, n, lin.out_padded);
+        const float* src = read(r, st.src, lin.in);
         GemmNN(src, lin.weight_fq.data(), dst, n, lin.in, lin.out_padded);
         if (lin.out_padded != lin.out) {
           StripPaddedColumns(dst, n, lin.out, lin.out_padded);
@@ -916,28 +749,29 @@ void ExecutionPlan::ExecutePruned(const float* x, const FrontierProgram& fp,
       }
       case Op::kSpmm: {
         const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        float* dst = ensure(st.dst, n, st.cols);
-        const float* src =
-            se.src_is_input ? x : scratch->f[static_cast<size_t>(st.src)].data();
+        float* dst = EnsureBuffer(&scratch->f, st.dst, n, st.cols);
+        const float* src = base(st.src);
         if (aq.identity) {
-          SpmmRaw(se.induced, src, st.cols, dst);
-        } else {
-          // Each layer's slice has its own value array, so (unlike the
-          // full path) the quantized copy cannot be reused across layers.
-          const std::vector<float>& values = se.induced.values();
+          SpmmRaw(*r.csr, src, st.cols, dst);
+          break;
+        }
+        if (adj_csr != r.csr || !SameParams(adj_cached->params, aq.params)) {
+          const std::vector<float>& values = r.csr->values();
           if (scratch->adj_f.size() < values.size()) {
             scratch->adj_f.resize(values.size());
           }
           FakeQuantBuffer(values.data(), scratch->adj_f.data(),
                           static_cast<int64_t>(values.size()), aq.params);
-          SpmmPattern(se.induced, scratch->adj_f.data(), src, st.cols, dst);
+          adj_csr = r.csr;
+          adj_cached = &aq;
         }
+        SpmmPattern(*r.csr, scratch->adj_f.data(), src, st.cols, dst);
         break;
       }
       case Op::kAdd: {
-        float* dst = ensure(st.dst, n, st.cols);
-        const float* a = read(se, st.src, st.cols);
-        const float* c = scratch->f[static_cast<size_t>(st.src2)].data();
+        float* dst = EnsureBuffer(&scratch->f, st.dst, n, st.cols);
+        const float* a = read(r, st.src, st.cols);
+        const float* c = base(st.src2);
         ParallelFor(
             n * st.cols,
             [=](int64_t i0, int64_t i1) {
@@ -947,8 +781,8 @@ void ExecutionPlan::ExecutePruned(const float* x, const FrontierProgram& fp,
         break;
       }
       case Op::kRelu: {
-        float* dst = ensure(st.dst, n, st.cols);
-        const float* src = read(se, st.src, st.cols);
+        float* dst = EnsureBuffer(&scratch->f, st.dst, n, st.cols);
+        const float* src = read(r, st.src, st.cols);
         ParallelFor(
             n * st.cols,
             [=](int64_t i0, int64_t i1) {
@@ -961,215 +795,85 @@ void ExecutionPlan::ExecutePruned(const float* x, const FrontierProgram& fp,
       }
     }
   }
-  std::memcpy(out, scratch->f[static_cast<size_t>(final_buffer_)].data(),
-              sizeof(float) *
-                  static_cast<size_t>(static_cast<int64_t>(fp.targets_.size()) *
-                                      out_dim_));
+  std::memcpy(out, base(final_buffer_),
+              sizeof(float) * static_cast<size_t>(rows.out_rows() * out_dim_));
 }
 
-// ---------------------------------------------------------------------------
-// Integer executor
-// ---------------------------------------------------------------------------
-
-void ExecutionPlan::ExecuteInt8(const float* x, int64_t n, const SparseOperator& op,
+void ExecutionPlan::ExecuteInt8(const float* x, const RowUniverse& rows,
                                 Scratch* scratch, float* out) const {
   MIXQ_CHECK(has_int8_) << "plan has no int8 lowering";
+  CheckProgram(rows, /*int8=*/true, int_steps_.size());
   ForwardFaultHooks();
   scratch->q.resize(static_cast<size_t>(num_buffers_));
-  auto ensure = [&](int id, int64_t cols) -> int8_t* {
-    std::vector<int8_t>& buf = scratch->q[static_cast<size_t>(id)];
-    const size_t need = static_cast<size_t>(n * cols);
-    if (buf.size() < need) buf.resize(need);
-    return buf.data();
+  auto codes = [&](int id) -> const int8_t* {
+    return scratch->q[static_cast<size_t>(id)].data();
   };
-  auto ensure_acc = [&](int64_t cols) -> int32_t* {
-    const size_t need = static_cast<size_t>(n * cols);
-    if (scratch->acc.size() < need) scratch->acc.resize(need);
-    return scratch->acc.data();
+  auto read = [&](const RowUniverse::StepRows& r, int id,
+                  int64_t width) -> const int8_t* {
+    if (r.gather == nullptr) return codes(id);
+    return GatherRows(codes(id), *r.gather, width, &scratch->gather_q);
   };
+  const CsrMatrix* adj_csr = nullptr;
   const LoweredComponent* adj_cached = nullptr;
-  const bool fused = FusedEpilogues();
-
-  for (const IntStep& st : int_steps_) {
-    switch (st.op) {
-      case IntOp::kQuantizeInput: {
-        int8_t* dst = ensure(st.dst, st.cols);
-        QuantizeCodes8(x, dst, n * st.cols, st.out_params);
-        break;
-      }
-      case IntOp::kGemmRequant: {
-        const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        // ensure() before reading src: GEMM steps never write their own
-        // source buffer, but the resize discipline stays uniform.
-        int8_t* dst = ensure(st.dst, lin.out);
-        const int8_t* src = scratch->q[static_cast<size_t>(st.src)].data();
-        if (fused) {
-          // Codes come straight out of the register tiles at the unpadded
-          // stride: no int32 scratch round-trip, no padding strip pass.
-          GemmInt8Requant(src, PackedWeights(lin, st), n, lin.in, lin.out_padded,
-                          lin.out, GemmEpilogue(st), dst);
-          break;
-        }
-        int32_t* acc = ensure_acc(lin.out_padded);
-        GemmInt8PackedB(src, lin.weight_packed.data(), acc, n, lin.in,
-                        lin.out_padded);
-        if (lin.out_padded != lin.out) {
-          StripPaddedColumns(acc, n, lin.out, lin.out_padded);
-        }
-        GemmRequantRows(acc, dst, n, lin.out, st.total,
-                        st.bias_over.empty() ? nullptr : st.bias_over.data(),
-                        st.emitter);
-        break;
-      }
-      case IntOp::kSpmmRequant: {
-        const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        if (adj_cached == nullptr || !SameParams(adj_cached->params, aq.params)) {
-          const std::vector<float>& values = op.matrix().values();
-          if (scratch->adj_q.size() < values.size()) {
-            scratch->adj_q.resize(values.size());
-          }
-          QuantizeCodes8(values.data(), scratch->adj_q.data(),
-                         static_cast<int64_t>(values.size()), aq.params);
-          adj_cached = &aq;
-        }
-        int8_t* dst = ensure(st.dst, st.cols);
-        const int8_t* src = scratch->q[static_cast<size_t>(st.src)].data();
-        if (fused) {
-          SpmmInt8Requant(op.matrix(), scratch->adj_q.data(), src, st.cols,
-                          SpmmEpilogue(st), dst);
-          break;
-        }
-        int32_t* acc = ensure_acc(st.cols);
-        SpmmInt8(op.matrix(), scratch->adj_q.data(), src, st.cols, acc);
-        RequantFlat(acc, dst, n * st.cols, st.total, st.emitter);
-        break;
-      }
-      case IntOp::kAddRequant: {
-        int8_t* dst = ensure(st.dst, st.cols);
-        const int8_t* a = scratch->q[static_cast<size_t>(st.src)].data();
-        const int8_t* c = scratch->q[static_cast<size_t>(st.src2)].data();
-        AddRequantFlat(a, c, dst, n * st.cols, st.s1, st.s2, st.emitter);
-        break;
-      }
-      case IntOp::kRelu: {
-        int8_t* dst = ensure(st.dst, st.cols);
-        const int8_t* src = scratch->q[static_cast<size_t>(st.src)].data();
-        ReluCodes(src, dst, n * st.cols);
-        break;
-      }
-    }
-  }
-  DequantizeCodes(scratch->q[static_cast<size_t>(int_final_buffer_)].data(), out,
-                  n * out_dim_, int_final_params_);
-}
-
-// ---------------------------------------------------------------------------
-// Pruned integer executor
-// ---------------------------------------------------------------------------
-
-void ExecutionPlan::ExecutePrunedInt8(const float* x, const FrontierProgram& fp,
-                                      Scratch* scratch, float* out) const {
-  MIXQ_CHECK(has_int8_) << "plan has no int8 lowering";
-  MIXQ_CHECK(fp.int8_) << "program was built for the float step list";
-  MIXQ_CHECK_EQ(static_cast<int64_t>(fp.steps_.size()),
-                static_cast<int64_t>(int_steps_.size()));
-  ForwardFaultHooks();
-  scratch->q.resize(static_cast<size_t>(num_buffers_));
-  auto ensure = [&](int id, int64_t rows, int64_t cols) -> int8_t* {
-    std::vector<int8_t>& buf = scratch->q[static_cast<size_t>(id)];
-    const size_t need = static_cast<size_t>(rows * cols);
-    if (buf.size() < need) buf.resize(need);
-    return buf.data();
-  };
-  auto ensure_acc = [&](int64_t rows, int64_t cols) -> int32_t* {
-    const size_t need = static_cast<size_t>(rows * cols);
-    if (scratch->acc.size() < need) scratch->acc.resize(need);
-    return scratch->acc.data();
-  };
-  auto read_codes = [&](const FrontierProgram::StepExec& se, int src,
-                        int64_t width) -> const int8_t* {
-    const int8_t* base = scratch->q[static_cast<size_t>(src)].data();
-    if (se.gather.empty()) return base;
-    return GatherRows(base, se.gather, width, &scratch->gather_q);
-  };
-  const bool fused = FusedEpilogues();
 
   for (size_t si = 0; si < int_steps_.size(); ++si) {
     const IntStep& st = int_steps_[si];
-    const FrontierProgram::StepExec& se = fp.steps_[si];
-    const int64_t n = static_cast<int64_t>(se.rows.size());
+    const RowUniverse::StepRows r = rows.At(si);
+    const int64_t n = r.n;
     if (n == 0) continue;
     switch (st.op) {
       case IntOp::kQuantizeInput: {
-        // The input quantize reads the float feature matrix: stage the
-        // frontier's rows (se.gather holds global feature-row ids).
+        int8_t* dst = EnsureBuffer(&scratch->q, st.dst, n, st.cols);
+        // The gather here holds global feature-row ids.
         const float* src =
-            se.gather.empty()
+            r.gather == nullptr
                 ? x
-                : GatherRows(x, se.gather, st.cols, &scratch->gather_f);
-        int8_t* dst = ensure(st.dst, n, st.cols);
+                : GatherRows(x, *r.gather, st.cols, &scratch->gather_f);
         QuantizeCodes8(src, dst, n * st.cols, st.out_params);
         break;
       }
       case IntOp::kGemmRequant: {
         const LoweredLinear& lin = linears_[static_cast<size_t>(st.linear)];
-        // ensure() before read_codes(): the gather stages into gather_q, a
-        // separate buffer, but keep the resize discipline uniform anyway.
-        int8_t* dst = ensure(st.dst, n, lin.out);
-        const int8_t* src = read_codes(se, st.src, lin.in);
-        if (fused) {
-          GemmInt8Requant(src, PackedWeights(lin, st), n, lin.in, lin.out_padded,
-                          lin.out, GemmEpilogue(st), dst);
-          break;
-        }
-        int32_t* acc = ensure_acc(n, lin.out_padded);
-        GemmInt8PackedB(src, lin.weight_packed.data(), acc, n, lin.in,
-                        lin.out_padded);
-        if (lin.out_padded != lin.out) {
-          StripPaddedColumns(acc, n, lin.out, lin.out_padded);
-        }
-        GemmRequantRows(acc, dst, n, lin.out, st.total,
-                        st.bias_over.empty() ? nullptr : st.bias_over.data(),
-                        st.emitter);
+        int8_t* dst = EnsureBuffer(&scratch->q, st.dst, n, lin.out);
+        const int8_t* src = read(r, st.src, lin.in);
+        // Codes come straight out of the register tiles at the unpadded
+        // stride: no int32 scratch round-trip, no padding strip pass.
+        GemmInt8Requant(src, PackedWeights(lin, st), n, lin.in, lin.out_padded,
+                        lin.out, GemmEpilogue(st), dst);
         break;
       }
       case IntOp::kSpmmRequant: {
         const LoweredComponent& aq = adj_quants_[static_cast<size_t>(st.adj)];
-        const std::vector<float>& values = se.induced.values();
-        if (scratch->adj_q.size() < values.size()) {
-          scratch->adj_q.resize(values.size());
+        if (adj_csr != r.csr || !SameParams(adj_cached->params, aq.params)) {
+          const std::vector<float>& values = r.csr->values();
+          if (scratch->adj_q.size() < values.size()) {
+            scratch->adj_q.resize(values.size());
+          }
+          QuantizeCodes8(values.data(), scratch->adj_q.data(),
+                         static_cast<int64_t>(values.size()), aq.params);
+          adj_csr = r.csr;
+          adj_cached = &aq;
         }
-        QuantizeCodes8(values.data(), scratch->adj_q.data(),
-                       static_cast<int64_t>(values.size()), aq.params);
-        int8_t* dst = ensure(st.dst, n, st.cols);
-        const int8_t* src = scratch->q[static_cast<size_t>(st.src)].data();
-        if (fused) {
-          SpmmInt8Requant(se.induced, scratch->adj_q.data(), src, st.cols,
-                          SpmmEpilogue(st), dst);
-          break;
-        }
-        int32_t* acc = ensure_acc(n, st.cols);
-        SpmmInt8(se.induced, scratch->adj_q.data(), src, st.cols, acc);
-        RequantFlat(acc, dst, n * st.cols, st.total, st.emitter);
+        int8_t* dst = EnsureBuffer(&scratch->q, st.dst, n, st.cols);
+        SpmmInt8Requant(*r.csr, scratch->adj_q.data(), codes(st.src), st.cols,
+                        SpmmEpilogue(st), dst);
         break;
       }
       case IntOp::kAddRequant: {
-        int8_t* dst = ensure(st.dst, n, st.cols);
-        const int8_t* a = read_codes(se, st.src, st.cols);
-        const int8_t* c = scratch->q[static_cast<size_t>(st.src2)].data();
-        AddRequantFlat(a, c, dst, n * st.cols, st.s1, st.s2, st.emitter);
+        int8_t* dst = EnsureBuffer(&scratch->q, st.dst, n, st.cols);
+        const int8_t* a = read(r, st.src, st.cols);
+        AddRequantCodes(a, codes(st.src2), dst, n * st.cols, st.s1, st.s2,
+                        st.emitter);
         break;
       }
       case IntOp::kRelu: {
-        int8_t* dst = ensure(st.dst, n, st.cols);
-        const int8_t* src = read_codes(se, st.src, st.cols);
-        ReluCodes(src, dst, n * st.cols);
+        int8_t* dst = EnsureBuffer(&scratch->q, st.dst, n, st.cols);
+        ReluCodes(read(r, st.src, st.cols), dst, n * st.cols);
         break;
       }
     }
   }
-  DequantizeCodes(scratch->q[static_cast<size_t>(int_final_buffer_)].data(), out,
-                  static_cast<int64_t>(fp.targets_.size()) * out_dim_,
+  DequantizeCodes(codes(int_final_buffer_), out, rows.out_rows() * out_dim_,
                   int_final_params_);
 }
 

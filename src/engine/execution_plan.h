@@ -23,6 +23,12 @@
 //     requantization (one quantization step), not bitwise — which is why it
 //     is a separate opt-in mode (PredictQuantized) rather than the default.
 //
+// Each mode is ONE step loop over a RowUniverse: the full forward is every
+// step over all N rows of the request's CSR, the receptive-field-pruned
+// forward (engine/frontier_plan.h) is each step over its frontier, with a
+// row gather and an induced CSR slice. Full and pruned rows therefore flow
+// through the same code, which is what makes them bitwise identical.
+//
 // Schemes whose eval behaviour is not a fixed per-tensor transform (A2Q's
 // per-node learned scales, the relaxed search mixture) cannot be lowered;
 // CompileModel keeps the pipeline-replay path as a fallback for them.
@@ -65,6 +71,35 @@ struct LoweredLinear {
   /// lowering or bundle load, never serialized (bundle format unchanged).
   std::vector<int8_t> weight_quad;
   std::vector<int32_t> weight_corr;
+};
+
+/// The rows one forward computes. A full forward runs every step over all
+/// N rows of the request's CSR; a pruned forward runs each step over its
+/// frontier in a FrontierProgram. Non-owning: the CSR or the program must
+/// outlive the forward.
+class RowUniverse {
+ public:
+  /// Full forward over every row of `a` (square; x has a.rows() rows).
+  explicit RowUniverse(const CsrMatrix& a) : full_(&a) {}
+  /// Pruned forward over the per-step frontiers of `program`.
+  explicit RowUniverse(const FrontierProgram& program) : program_(&program) {}
+
+  /// What one step computes and reads.
+  struct StepRows {
+    int64_t n = 0;  ///< rows the step computes (0 = dead for these targets)
+    /// Row gather feeding a row-parallel step (positions into the src
+    /// buffer's rows, or global ids into x); null = read src as stored.
+    const std::vector<int64_t>* gather = nullptr;
+    const CsrMatrix* csr = nullptr;  ///< the adjacency an SpMM step reads
+  };
+  StepRows At(size_t step) const;
+  /// Rows of the output: N, or the program's target count.
+  int64_t out_rows() const;
+  const FrontierProgram* program() const { return program_; }
+
+ private:
+  const CsrMatrix* full_ = nullptr;
+  const FrontierProgram* program_ = nullptr;
 };
 
 class ExecutionPlan {
@@ -131,8 +166,7 @@ class ExecutionPlan {
     std::vector<std::vector<int8_t>> q;  ///< int8 code buffers
     std::vector<float> adj_f;            ///< fake-quantized adjacency values
     std::vector<int8_t> adj_q;           ///< int8 adjacency codes
-    std::vector<int32_t> acc;            ///< int32 GEMM/SpMM accumulator
-    std::vector<float> gather_f;         ///< pruned-path row gather staging
+    std::vector<float> gather_f;         ///< row gather staging
     std::vector<int8_t> gather_q;        ///< ... and its int8 counterpart
   };
 
@@ -147,20 +181,6 @@ class ExecutionPlan {
   /// True when the all-integer mode is available (every quantization point is
   /// a symmetric <= 8-bit quantizer).
   bool SupportsInt8() const { return has_int8_; }
-
-  /// Whether the int8 executors run the fused GEMM/SpMM requant epilogues
-  /// (the default) or the two-pass accumulate-then-requant shape. Both
-  /// produce bitwise-identical codes — the switch exists for parity tests
-  /// and epilogue A/B benchmarks. Resolved once from MIXQ_FUSED ("0"
-  /// disables); SetFusedEpilogues overrides, process-wide, thread-safe.
-  static bool FusedEpilogues();
-  static void SetFusedEpilogues(bool fused);
-
-  /// True when every row of `op` is shallow enough for the int8 SpMM's int32
-  /// accumulators (max row nnz * 127^2 < 2^31). The dense depth is checked at
-  /// compile time; the operator arrives per request, so PredictQuantized
-  /// rejects graphs with deeper hub nodes instead of overflowing silently.
-  static bool Int8DepthSafeOperator(const SparseOperator& op);
 
   int64_t in_features() const { return in_features_; }
   int64_t out_dim() const { return out_dim_; }
@@ -178,30 +198,22 @@ class ExecutionPlan {
   int int_final_buffer() const { return int_final_buffer_; }
   const QuantParams& int_final_params() const { return int_final_params_; }
 
-  /// Runs the exact float plan over `x` [n, in_features] and the request's
-  /// sparse operator, writing logits [n, out_dim] into `out`. Thread-safe
-  /// and lock-free; each concurrent caller passes its own scratch.
-  void Execute(const float* x, int64_t n, const SparseOperator& op, Scratch* scratch,
+  /// Runs the exact float plan over `rows`, writing logits
+  /// [rows.out_rows(), out_dim] into `out`: row i is node i for a full
+  /// forward, node targets()[i] for a pruned one. `x` is always the FULL
+  /// feature matrix [N, in_features]. Every step runs the same kernels in
+  /// the same accumulation order whatever the universe, so a pruned row is
+  /// bitwise identical to the same row of the full forward — and to
+  /// PredictReference. Thread-safe and lock-free; each concurrent caller
+  /// passes its own scratch.
+  void Execute(const float* x, const RowUniverse& rows, Scratch* scratch,
                float* out) const;
 
-  /// Runs the integer plan (requires SupportsInt8()).
-  void ExecuteInt8(const float* x, int64_t n, const SparseOperator& op,
-                   Scratch* scratch, float* out) const;
-
-  /// Receptive-field-pruned float forward: computes only the per-layer
-  /// frontiers of `program` (built over this plan with int8=false against
-  /// the request's operator) and writes logits
-  /// [program.targets().size(), out_dim] into `out`, row i = node
-  /// targets()[i]. Bitwise identical to the same rows of Execute(). `x` is
-  /// the FULL feature matrix — the program gathers the rows it needs.
-  void ExecutePruned(const float* x, const FrontierProgram& program,
-                     Scratch* scratch, float* out) const;
-
-  /// Integer counterpart (program built with int8=true; requires
-  /// SupportsInt8()). Codes — and hence logits — are bitwise identical to
-  /// the same rows of ExecuteInt8().
-  void ExecutePrunedInt8(const float* x, const FrontierProgram& program,
-                         Scratch* scratch, float* out) const;
+  /// Runs the integer plan (requires SupportsInt8(); a pruned program must
+  /// be built with int8=true). Codes are bitwise identical across
+  /// universes the same way.
+  void ExecuteInt8(const float* x, const RowUniverse& rows, Scratch* scratch,
+                   float* out) const;
 
  private:
   ExecutionPlan() = default;

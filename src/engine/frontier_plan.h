@@ -21,10 +21,11 @@
 // for steps whose input buffer holds a wider frontier than they consume
 // (GraphSAGE's root path, and the feature matrix itself).
 //
-// Every kernel the pruned executors run is per-row independent and
-// accumulates in the same order as the full forward, so pruned fp32 rows
-// are bitwise identical to the same rows of Execute(), and pruned int8
-// codes are bitwise identical to ExecuteInt8()'s.
+// The program is a RowUniverse (engine/execution_plan.h): the same
+// Execute/ExecuteInt8 step loop that runs the full forward runs each step
+// over its frontier here, and every kernel is per-row independent with the
+// same accumulation order at any row count. Pruned fp32 rows and int8 codes
+// are therefore bitwise identical to the same rows of the full forward.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +61,8 @@ class FrontierProgram {
   /// Node count of the graph the program was built against; executing it
   /// requires a feature matrix with exactly this many rows.
   int64_t graph_nodes() const { return graph_nodes_; }
-  /// The requested rows, sorted unique — the output row order of
-  /// ExecutePruned (row i of the output is node targets()[i]).
+  /// The requested rows, sorted unique — the output row order of a pruned
+  /// forward (row i of the output is node targets()[i]).
   const std::vector<int64_t>& targets() const { return targets_; }
 
   /// Rows of the feature matrix the first layer reads (the L-hop receptive
@@ -92,13 +93,11 @@ class FrontierProgram {
   };
 
   /// Per-step schedules, parallel to the plan's selected step list — read by
-  /// the pruned executors and by VerifyFrontierProgram
+  /// RowUniverse and by VerifyFrontierProgram
   /// (engine/plan_verifier.h).
   const std::vector<StepExec>& step_execs() const { return steps_; }
 
  private:
-  friend class ExecutionPlan;
-
   FrontierProgram() = default;
 
   std::vector<StepExec> steps_;

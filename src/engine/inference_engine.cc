@@ -182,7 +182,6 @@ std::shared_ptr<GraphContext> MakeGraphContext(const std::string& name,
                                                GraphReorder reorder) {
   auto context = std::make_shared<GraphContext>();
   context->name = name;
-  context->int8_depth_safe = ExecutionPlan::Int8DepthSafeOperator(*op);
   // Graph-side facts for per-plan certificate pairing. Computed on the
   // ORIGINAL operator: a permutation preserves every row's nnz and stored
   // values, so the bounds are identical either way.
@@ -309,7 +308,6 @@ InferenceEngine::ListGraphs() const {
     g.nodes = context->features.rows();
     g.feature_dim = context->features.cols();
     g.nnz = context->op->nnz();
-    g.int8_depth_safe = context->int8_depth_safe;
     g.reordered = context->reordered();
     g.version = context->version;
     out[name] = g;

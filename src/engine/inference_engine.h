@@ -131,7 +131,6 @@ class InferenceEngine {
     int64_t nodes = 0;
     int64_t feature_dim = 0;
     int64_t nnz = 0;
-    bool int8_depth_safe = false;
     /// Pinned in a locality-reordered internal row order (invisible in
     /// served values; see GraphContext).
     bool reordered = false;

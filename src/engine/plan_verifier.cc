@@ -58,6 +58,15 @@ Status Invalid(const std::string& where, const std::string& what) {
   return Status::InvalidArgument(where + what);
 }
 
+/// GEMM and SpMM rows read across their source while writing the
+/// destination, so in place they would consume overwritten rows — and the
+/// destination's resize would free the source under the kernel.
+/// Elementwise steps (quantize, ReLU, add) stay legal in place.
+Status InPlaceRowMixing(const std::string& where, int buffer) {
+  return Invalid(where, "row-mixing step writes its own source buffer " +
+                            std::to_string(buffer));
+}
+
 /// Empty when `p` is a usable fake-quantization grid; otherwise the reason.
 std::string ParamsError(const QuantParams& p) {
   if (p.bits < 1 || p.bits > 32) {
@@ -102,7 +111,8 @@ std::string ParamsLabel(const QuantParams& p) {
 /// Derived requant constants are compared bit-for-bit (memcmp, not ==): the
 /// fused epilogues fold these doubles straight into the kernels, so even a
 /// one-ulp drift from the serialized quantizers would break the bitwise
-/// parity contract between fused and two-pass execution.
+/// parity contract between the fused kernels and their exact-integer
+/// reference (accumulate, then requantize).
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -298,6 +308,9 @@ Status WalkFloatSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
 
     int64_t src_cols = 0;
     MIXQ_RETURN_NOT_OK(source_cols(st.src, &src_cols));
+    if ((st.op == Op::kMatMul || st.op == Op::kSpmm) && st.dst == st.src) {
+      return InPlaceRowMixing(where, st.dst);
+    }
 
     switch (st.op) {
       case Op::kQuantize: {
@@ -473,6 +486,11 @@ Status WalkIntSteps(const ExecutionPlan& plan, std::vector<bool>* used_linear,
       }
       return Status::OK();
     };
+
+    if ((st.op == IntOp::kGemmRequant || st.op == IntOp::kSpmmRequant) &&
+        st.dst == st.src) {
+      return InPlaceRowMixing(where, st.dst);
+    }
 
     switch (st.op) {
       case IntOp::kQuantizeInput: {

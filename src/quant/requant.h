@@ -3,8 +3,8 @@
 // (engine/execution_plan.cc) and the fused GEMM/SpMM epilogue kernels
 // (tensor/gemm.cc, sparse/csr.cc). Keeping ONE implementation of the
 // round-and-clip is what lets the fused epilogues stay bitwise identical to
-// the two-pass requant: both paths feed the same double through the same
-// expressions.
+// accumulating exactly and requantizing afterwards (the kernel tests'
+// oracle): both feed the same double through the same expressions.
 //
 // The lowered quantizers round half away from zero — the same rule as the
 // reference quantizers' std::lround — with an inline, vectorizable
@@ -66,11 +66,11 @@ struct RequantEpilogue {
 inline constexpr int64_t kRequantBlock = 256;
 
 /// Requantizes `count` (<= kRequantBlock) int32 accumulators into int8
-/// codes. THE fused-epilogue arithmetic: identical expressions to the
-/// two-pass requant helpers in engine/execution_plan.cc, which is what keeps
-/// fused and unfused codes bitwise equal. Rounds into an int32 block first
-/// and narrows in a second sweep (a direct scalar-narrowing store defeats
-/// the vectorizer).
+/// codes. THE fused-epilogue arithmetic: Code(total·acc (+ bias[j])), the
+/// same expression the kernel tests' accumulate-then-requant oracle applies,
+/// which is what keeps fused codes bitwise equal to it. Rounds into an int32
+/// block first and narrows in a second sweep (a direct scalar-narrowing
+/// store defeats the vectorizer).
 inline void RequantBlock(const int32_t* acc, int64_t count, double total,
                          const double* bias, const CodeEmitter& em, int8_t* dst) {
   // Local emitter copy + __restrict views: dst is a char-type pointer that

@@ -493,6 +493,49 @@ TEST(PlanVerifierTest, RejectsFinalGridMismatch) {
   ExpectRejected(s, "final_grid.mqb", "dequantizes with");
 }
 
+// 15. Row-mixing steps never run in place: a GEMM or SpMM reads rows of its
+// source while writing its destination, so dst == src computes from
+// overwritten rows, and growing the destination frees the source under the
+// kernel (an in-place widened GEMM was a heap-use-after-free in Predict).
+// Each plan below is otherwise well formed.
+TEST(PlanVerifierTest, RejectsInPlaceFp32MatMul) {
+  PlanSpec s = BaselineFp32();
+  s.linears[0].out = 16;
+  s.linears[0].out_padded = 16;
+  s.linears[0].weight_fq.assign(4 * 16, 0.25f);
+  s.out_dim = 16;
+  s.steps[1].dst = 0;  // matmul b0 -> b0, widening 4 -> 16 columns
+  s.steps[1].cols = 16;
+  s.steps[2].src = 0;
+  s.steps[2].dst = 1;
+  s.steps[2].cols = 16;
+  s.final_buffer = 1;
+  ExpectRejected(s, "inplace_matmul.mqb", "writes its own source buffer 0");
+}
+
+TEST(PlanVerifierTest, RejectsInPlaceFp32Spmm) {
+  PlanSpec s = BaselineFp32();
+  s.steps[2].dst = 1;  // spmm b1 -> b1
+  s.final_buffer = 1;
+  ExpectRejected(s, "inplace_spmm.mqb", "writes its own source buffer 1");
+}
+
+TEST(PlanVerifierTest, RejectsInPlaceInt8GemmRequant) {
+  PlanSpec s = BaselineInt8();
+  s.int_steps[1].dst = 0;  // gemm_requant b0 -> b0
+  s.int_steps[2].src = 0;
+  s.int_steps[2].dst = 1;
+  s.int_final_buffer = 1;
+  ExpectRejected(s, "inplace_gemm_requant.mqb", "writes its own source buffer 0");
+}
+
+TEST(PlanVerifierTest, RejectsInPlaceInt8SpmmRequant) {
+  PlanSpec s = BaselineInt8();
+  s.int_steps[2].dst = 1;  // spmm_requant b1 -> b1
+  s.int_final_buffer = 1;
+  ExpectRejected(s, "inplace_spmm_requant.mqb", "writes its own source buffer 1");
+}
+
 // ---- real models: everything the repo can lower verifies clean -------------
 
 NodeDataset VerifierDataset(uint64_t seed = 7) {

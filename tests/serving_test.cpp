@@ -245,6 +245,31 @@ TEST(ServingLoweringTest, Int8ExecutorUnavailableForFp32) {
       StatusCode::kNotImplemented);
 }
 
+// A tall operator whose columns match the feature rows used to pass request
+// validation and size the scratch by one dimension while the SpMM walked the
+// other (a heap overflow under ASan). Every entry point refuses it typed.
+TEST(RequestValidationTest, NonSquareOperatorIsRejected) {
+  auto artifact = TrainArtifact(SchemeRef::Qat(8));
+  CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
+  ASSERT_TRUE(model->info().lowered_int8);
+  Rng rng(3);
+  const Tensor features = Tensor::RandomUniform(
+      Shape(64, artifact->features.cols()), &rng, -1.0f, 1.0f);
+  SparseOperatorPtr tall = MakeOperator(CsrMatrix::FromCoo(
+      256, 64, {{0, 0, 1.0f}, {100, 63, 0.5f}, {255, 7, 0.25f}}));
+  EXPECT_EQ(model->Predict(features, tall).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model->PredictQuantized(features, tall).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model->PredictReference(features, tall).status().code(),
+            StatusCode::kInvalidArgument);
+  FrontierWorkspace ws;
+  EXPECT_EQ(model->BuildFrontierProgram(tall, {0, 200}, /*int8=*/false, &ws, 10.0),
+            nullptr);
+  EXPECT_EQ(model->BuildFrontierProgram(tall, {0, 200}, /*int8=*/true, &ws, 10.0),
+            nullptr);
+}
+
 // Regression for the padded-GEMM compaction: with enough rows that
 // ParallelFor actually chunks, the in-place stripping of padding columns
 // must not let one chunk overwrite another's unread rows. Hidden width 20
@@ -1134,77 +1159,6 @@ TEST(SubmitTest, MixedPrunedAndFullRoutingInOneDrain) {
   EXPECT_EQ(stats.batcher.pruned_forwards, 1);   // the 4 point queries
   EXPECT_EQ(stats.batcher.full_forwards, 2);     // the stall + the g2 group
   EXPECT_EQ(stats.per_model.at("m").successes, kClients);
-}
-
-// ---------------------------------------------------------------------------
-// Fused requantization epilogues.
-// ---------------------------------------------------------------------------
-
-/// Flips the process-wide fused-epilogue switch and restores the fused
-/// default on scope exit, so a failing EXPECT cannot leak the unfused mode
-/// into later tests.
-struct FusedEpilogueGuard {
-  explicit FusedEpilogueGuard(bool fused) {
-    engine::ExecutionPlan::SetFusedEpilogues(fused);
-  }
-  ~FusedEpilogueGuard() { engine::ExecutionPlan::SetFusedEpilogues(true); }
-};
-
-// The fusion contract: requantizing int32 accumulators inside the GEMM/SpMM
-// epilogues produces codes — and hence logits — bitwise identical to the
-// two-pass accumulate-then-requant executor, for every int8-lowered registry
-// scheme on both backbones, on the full AND the pruned integer forward.
-TEST(FusedEpilogueTest, FusedMatchesUnfusedBitwiseAcrossSchemes) {
-  struct Case {
-    const char* label;
-    SchemeRef ref;
-    NodeModelKind kind;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"qat8", SchemeRef::Qat(8), NodeModelKind::kGcn});
-  cases.push_back({"qat4", SchemeRef::Qat(4), NodeModelKind::kGcn});
-  cases.push_back({"dq8", SchemeRef::Dq(8), NodeModelKind::kGcn});
-  cases.push_back({"fixed",
-                   SchemeRef::Fixed({{"model/x", 8},
-                                     {"gcn0/weight", 2},
-                                     {"gcn0/linear_out", 4},
-                                     {"gcn1/weight", 4}}),
-                   NodeModelKind::kGcn});
-  cases.push_back({"qat8-sage", SchemeRef::Qat(8), NodeModelKind::kSage});
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.label);
-    auto artifact = TrainArtifact(c.ref, c.kind);
-    ASSERT_NE(artifact, nullptr);
-    CompiledModelPtr model = CompileModel(*artifact).ValueOrDie();
-    if (!model->info().lowered_int8) continue;  // nothing to fuse
-
-    Tensor unfused, unfused_pruned;
-    const std::vector<int64_t> targets = {3, 77, 150};
-    {
-      FusedEpilogueGuard guard(/*fused=*/false);
-      unfused =
-          model->PredictQuantized(artifact->features, artifact->op).ValueOrDie();
-      FrontierWorkspace ws;
-      PredictScratch scratch;
-      auto program = model->BuildFrontierProgram(artifact->op, targets,
-                                                 /*int8=*/true, &ws, 10.0);
-      ASSERT_NE(program, nullptr);
-      unfused_pruned =
-          model->PredictPruned(artifact->features, *program, &scratch).ValueOrDie();
-    }
-    FusedEpilogueGuard guard(/*fused=*/true);
-    Tensor fused =
-        model->PredictQuantized(artifact->features, artifact->op).ValueOrDie();
-    EXPECT_EQ(fused.data(), unfused.data());
-    FrontierWorkspace ws;
-    PredictScratch scratch;
-    auto program = model->BuildFrontierProgram(artifact->op, targets,
-                                               /*int8=*/true, &ws, 10.0);
-    ASSERT_NE(program, nullptr);
-    Tensor fused_pruned =
-        model->PredictPruned(artifact->features, *program, &scratch).ValueOrDie();
-    EXPECT_EQ(fused_pruned.data(), unfused_pruned.data());
-  }
 }
 
 // ---------------------------------------------------------------------------

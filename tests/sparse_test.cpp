@@ -3,6 +3,10 @@
 // differentiable Spmm/SpmmValues ops.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/cpu_features.h"
 #include "sparse/csr.h"
 #include "sparse/frontier.h"
 #include "sparse/reorder.h"
@@ -430,6 +434,63 @@ TEST(PermuteSquareTest, SpmmThroughPermutationIsBitwiseInvisible) {
       }
     }
   }
+}
+
+// The fused epilogue contract for message passing: SpmmInt8Requant's codes
+// are bitwise what SpmmInt8's exact int32 rows give after a separate
+// round-and-clip written here with CodeEmitter. Covers a rectangular
+// (induced-slice shaped) operator with empty rows, a hub row, zero-valued
+// adjacency codes, widths on both sides of the column block, every kernel
+// tier, and a bias pointer the SpMM epilogue must ignore.
+TEST(SpmmInt8RequantTest, MatchesSpmmInt8ThenRequant) {
+  const int64_t rows = 120, cols = 200;
+  Rng rng(5);
+  std::vector<CooEntry> entries;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (r % 11 == 3) continue;  // empty row
+    const int64_t degree = r == 7 ? cols : rng.UniformInt(1, 6);  // one hub
+    for (int64_t e = 0; e < degree; ++e) {
+      entries.push_back({r, r == 7 ? e : rng.UniformInt(0, cols - 1), 1.0f});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::FromCoo(rows, cols, std::move(entries));
+  std::vector<int8_t> a_q(static_cast<size_t>(a.nnz()));
+  for (int8_t& v : a_q) v = static_cast<int8_t>(rng.UniformInt(-127, 127) / 4 * 4);
+
+  QuantParams out_grid;
+  out_grid.scale = 1.0f;
+  out_grid.bits = 8;
+  out_grid.symmetric = true;
+  const KernelIsa ambient = ActiveKernelIsa();
+  for (int64_t f : {int64_t{1}, int64_t{7}, int64_t{64}, int64_t{300}}) {
+    SCOPED_TRACE("f=" + std::to_string(f));
+    std::vector<int8_t> x(static_cast<size_t>(cols * f));
+    for (int8_t& v : x) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+    std::vector<int32_t> acc(static_cast<size_t>(rows * f));
+    SpmmInt8(a, a_q.data(), x.data(), f, acc.data());
+    for (bool with_bias : {false, true}) {
+      std::vector<double> bias(static_cast<size_t>(f), 50.0);
+      RequantEpilogue ep;
+      ep.total = 1.0 / 400.0;
+      ep.bias = with_bias ? bias.data() : nullptr;
+      ep.emitter = CodeEmitter(out_grid);
+      std::vector<int8_t> expect(acc.size());
+      for (size_t i = 0; i < acc.size(); ++i) {
+        expect[i] = static_cast<int8_t>(
+            ep.emitter.Code(ep.total * static_cast<double>(acc[i])));
+      }
+      for (int t = 0; t <= static_cast<int>(BestSupportedIsa()); ++t) {
+        const KernelIsa isa = static_cast<KernelIsa>(t);
+        SCOPED_TRACE(std::string(KernelIsaName(isa)) +
+                     (with_bias ? " bias" : " no-bias"));
+        SetKernelIsa(isa);
+        std::vector<int8_t> got(acc.size(), 99);
+        SpmmInt8Requant(a, a_q.data(), x.data(), f, ep, got.data());
+        EXPECT_EQ(got, expect);
+      }
+    }
+  }
+  SetKernelIsa(ambient);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "common/cpu_features.h"
 #include "tensor/gemm.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
@@ -311,6 +314,92 @@ TEST(OpsForward, BatchNormNormalizesColumns) {
     EXPECT_NEAR(mean, 0.0, 1e-3);
     EXPECT_NEAR(var, 1.0, 1e-2);
   }
+}
+
+// ---- Fused int8 GEMM + requantization ---------------------------------------
+
+std::vector<int8_t> RandomCodes(size_t count, Rng* rng) {
+  std::vector<int8_t> codes(count);
+  for (int8_t& c : codes) c = static_cast<int8_t>(rng->UniformInt(-127, 127));
+  return codes;
+}
+
+// The fused epilogue contract: GemmInt8Requant's codes are bitwise what the
+// exact int32 product (GemmInt8PackedB, on the scalar tier) gives after a
+// separate round-and-clip written here with CodeEmitter — on every kernel
+// tier this host supports, with and without bias, at padded widths (only
+// the first n_out columns are emitted), and with the VNNI certificate both
+// granted and refused.
+TEST(Int8KernelTest, GemmRequantMatchesPackedGemmThenRequant) {
+  struct Case {
+    int64_t m, k, n, n_out;
+    bool bias, quad, vnni_ok;
+  };
+  const Case cases[] = {
+      {1, 20, 16, 16, false, true, true},
+      {5, 37, 32, 23, true, true, true},       // odd k, padded width
+      {37, 64, 48, 40, true, false, false},    // pair packing only
+      {9, 33, 288, 280, false, true, true},    // wider than one requant block
+      // Past the VNNI depth bound, so the certificate is refused: the
+      // dispatch must fall back with identical codes.
+      {3, 66400, 16, 10, true, true, false},
+  };
+  const KernelIsa ambient = ActiveKernelIsa();
+  QuantParams out_grid;
+  out_grid.scale = 1.0f;
+  out_grid.bits = 8;
+  out_grid.symmetric = true;
+  Rng rng(11);
+  for (const Case& c : cases) {
+    SCOPED_TRACE("m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+                 " n=" + std::to_string(c.n) + " n_out=" + std::to_string(c.n_out));
+    // As in lowering, a certificate is granted exactly where the full-scale
+    // depth predicate holds (the dispatch debug-checks this).
+    ASSERT_EQ(c.quad && c.vnni_ok, c.quad && Int8VnniDepthOk(c.k));
+    const std::vector<int8_t> a = RandomCodes(static_cast<size_t>(c.m * c.k), &rng);
+    const std::vector<int8_t> b = RandomCodes(static_cast<size_t>(c.k * c.n), &rng);
+    std::vector<int16_t> pair(static_cast<size_t>(PackedPairSize(c.k, c.n)));
+    PackInt8PairB(b.data(), c.k, c.n, pair.data());
+    std::vector<int8_t> quad(static_cast<size_t>(PackedQuadSize(c.k, c.n)));
+    std::vector<int32_t> corr(static_cast<size_t>(c.n));
+    PackInt8QuadB(b.data(), c.k, c.n, quad.data(), corr.data());
+    Int8PackedWeights w;
+    w.pair = pair.data();
+    if (c.quad) {
+      w.quad = quad.data();
+      w.corr = corr.data();
+      w.vnni_ok = c.vnni_ok;
+    }
+    // Bias is sized to the emitted width, as lowering freezes it.
+    std::vector<double> bias(static_cast<size_t>(c.n_out));
+    for (double& v : bias) v = rng.Uniform(-20.0f, 20.0f);
+    RequantEpilogue ep;
+    ep.total = 1.0 / (127.0 * std::sqrt(static_cast<double>(c.k)));
+    ep.bias = c.bias ? bias.data() : nullptr;
+    ep.emitter = CodeEmitter(out_grid);
+
+    SetKernelIsa(KernelIsa::kScalar);
+    std::vector<int32_t> acc(static_cast<size_t>(c.m * c.n));
+    GemmInt8PackedB(a.data(), pair.data(), acc.data(), c.m, c.k, c.n);
+    std::vector<int8_t> expect(static_cast<size_t>(c.m * c.n_out));
+    for (int64_t i = 0; i < c.m; ++i) {
+      for (int64_t j = 0; j < c.n_out; ++j) {
+        double v = ep.total * static_cast<double>(acc[static_cast<size_t>(i * c.n + j)]);
+        if (c.bias) v += bias[static_cast<size_t>(j)];
+        expect[static_cast<size_t>(i * c.n_out + j)] =
+            static_cast<int8_t>(ep.emitter.Code(v));
+      }
+    }
+    for (int t = 0; t <= static_cast<int>(BestSupportedIsa()); ++t) {
+      const KernelIsa isa = static_cast<KernelIsa>(t);
+      SCOPED_TRACE(KernelIsaName(isa));
+      SetKernelIsa(isa);
+      std::vector<int8_t> got(static_cast<size_t>(c.m * c.n_out), 99);
+      GemmInt8Requant(a.data(), w, c.m, c.k, c.n, c.n_out, ep, got.data());
+      EXPECT_EQ(got, expect);
+    }
+  }
+  SetKernelIsa(ambient);
 }
 
 }  // namespace
